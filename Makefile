@@ -51,7 +51,7 @@ race:
 FUZZTIME ?= 30s
 
 fuzz:
-	@for target in FuzzOnlineStep FuzzCandidateVsDense FuzzStructuredVsDenseRows FuzzShardVsDense FuzzIncrementalVsFull; do \
+	@for target in FuzzOnlineStep FuzzCandidateVsDense FuzzStructuredVsDenseRows FuzzShardVsDense; do \
 		echo "== $$target ($(FUZZTIME)) =="; \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) ./internal/core/ || exit 1; \
 	done

@@ -52,10 +52,6 @@ func run() int {
 			"split the paper algorithm's per-slot solve across this many user shards coordinated by consensus ADMM in the ablations (0 = single program; composes with -candidates and -fastmath)")
 		shardWkrs = flag.String("shard-workers", "",
 			"comma-separated shard-worker base URLs (cmd/edgeshard) to place the ablations' shard blocks on over RPC; dead workers fold back to local solving (requires -shards)")
-		incr = flag.Bool("incremental", false,
-			"solve the paper algorithm's slots incrementally in the ablations: re-solve only users whose attachment changed, gated by dual feasibility")
-		incrTol = flag.Float64("incremental-tol", 0,
-			"relative dual-feasibility tolerance of the incremental gate (0 = package default)")
 		benchjson = flag.String("benchjson", "",
 			"run the solver microbenchmarks and write machine-readable JSON to this file (e.g. BENCH_solver.json), skipping the ablations")
 		benchdiff = flag.String("benchdiff", "",
@@ -129,18 +125,16 @@ func run() int {
 	}
 
 	p := experiments.Params{
-		Users:          *users,
-		Horizon:        *horizon,
-		Reps:           *reps,
-		Seed:           *seed,
-		Workers:        *workers,
-		Candidates:     *candidates,
-		Shards:         *shards,
-		ShardWorkers:   splitCSV(*shardWkrs),
-		FastMath:       *fastmath,
-		FastMathF32:    *fastmath32,
-		Incremental:    *incr,
-		IncrementalTol: *incrTol,
+		Users:        *users,
+		Horizon:      *horizon,
+		Reps:         *reps,
+		Seed:         *seed,
+		Workers:      *workers,
+		Candidates:   *candidates,
+		Shards:       *shards,
+		ShardWorkers: splitCSV(*shardWkrs),
+		FastMath:     *fastmath,
+		FastMathF32:  *fastmath32,
 	}
 	studies := []string{*ablation}
 	if *ablation == "all" {

@@ -42,8 +42,6 @@ func run(args []string, errw io.Writer) int {
 		fastmath32  = fs.Bool("fastmath32", false, "with the fast-math kernels, store the ratio scratch in float32 (implies -fastmath)")
 		shards      = fs.Int("shards", 0, "split every session's per-slot solve across this many user shards coordinated by consensus ADMM (0 = single program)")
 		shardWkrs   = fs.String("shard-workers", "", "comma-separated shard-worker base URLs (cmd/edgeshard) to place every sharded session's blocks on over RPC; dead workers fold back to local solving (requires -shards)")
-		incremental = fs.Bool("incremental", false, "solve every session's slots incrementally: re-solve only users whose attachment changed, gated by dual feasibility")
-		incrTol     = fs.Float64("incremental-tol", 0, "relative dual-feasibility tolerance of the incremental gate (0 = package default)")
 		snapDir     = fs.String("snapshot-dir", "", "persist session snapshots here: TTL eviction saves warm state to disk and a restarted daemon recovers every session found (empty = no persistence)")
 		autosnap    = fs.Bool("autosnapshot", false, "persist a snapshot after every committed slot (crash loses at most the in-flight solve; requires -snapshot-dir)")
 		logJSON     = fs.Bool("log-json", false, "emit JSON logs instead of text")
@@ -59,21 +57,19 @@ func run(args []string, errw io.Writer) int {
 	log := slog.New(handler)
 
 	srv := serve.New(serve.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		SessionQueue:   *sessionQ,
-		MaxSessions:    *maxSessions,
-		SessionTTL:     *sessionTTL,
-		StepTimeout:    *stepTimeout,
-		FastMath:       *fastmath,
-		FastMathF32:    *fastmath32,
-		Shards:         *shards,
-		ShardWorkers:   splitCSV(*shardWkrs),
-		Incremental:    *incremental,
-		IncrementalTol: *incrTol,
-		SnapshotDir:    *snapDir,
-		Autosnapshot:   *autosnap,
-		Logger:         log,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		SessionQueue: *sessionQ,
+		MaxSessions:  *maxSessions,
+		SessionTTL:   *sessionTTL,
+		StepTimeout:  *stepTimeout,
+		FastMath:     *fastmath,
+		FastMathF32:  *fastmath32,
+		Shards:       *shards,
+		ShardWorkers: splitCSV(*shardWkrs),
+		SnapshotDir:  *snapDir,
+		Autosnapshot: *autosnap,
+		Logger:       log,
 	})
 
 	httpSrv := &http.Server{

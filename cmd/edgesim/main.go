@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fastmath32 = fs.Bool("fastmath32", false, "with the fast-math kernels, store the ratio scratch in float32 (implies -fastmath)")
 		shards     = fs.Int("shards", 0, "split the paper algorithm's per-slot solve across this many user shards coordinated by consensus ADMM (0 = single program; composes with -candidates and -fastmath)")
 		shardWkrs  = fs.String("shard-workers", "", "comma-separated shard-worker base URLs (cmd/edgeshard, e.g. http://127.0.0.1:9711,http://127.0.0.1:9712) to place the shard blocks on over RPC; dead workers fold back to local solving (requires -shards)")
-		incr       = fs.Bool("incremental", false, "solve the paper algorithm's slots incrementally: re-solve only users whose attachment changed, gated by dual feasibility (composes with -candidates, -fastmath, and -shards)")
-		incrTol    = fs.Float64("incremental-tol", 0, "relative dual-feasibility tolerance of the incremental gate (0 = package default)")
 		noconform  = fs.Bool("noconform", false, "disable the paper-conformance oracle on every run (it is on by default)")
 		dist       = fs.String("dist", "", "workload distribution override (power|uniform|normal)")
 		mu         = fs.Float64("mu", 0, "dynamic/static weight ratio μ (0 = default 1)")
@@ -103,8 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ShardWorkers:    splitCSV(*shardWkrs),
 		FastMath:        *fastmath,
 		FastMathF32:     *fastmath32,
-		Incremental:     *incr,
-		IncrementalTol:  *incrTol,
 		SkipConformance: *noconform,
 		Scenario: scenario.Config{
 			WorkloadDist:    *dist,

@@ -105,32 +105,6 @@ type Options struct {
 	// pruned pairs priced below −CandidateTol·(1+|ā_ij|) rejoin the
 	// problem. Only meaningful with Candidates > 0.
 	CandidateTol float64
-	// Incremental enables event-driven incremental slot solving: at each
-	// slot boundary the per-user delta is detected (attachment changed
-	// versus the previous slot) and only the affected users' blocks are
-	// re-solved, while unaffected users are held frozen at their carried
-	// decision x'_{·j}. Every frozen user is then certified by a dual-
-	// feasibility gate — the KKT stationarity of its column under the
-	// solved slot's multipliers — and any violator is re-admitted to the
-	// active set with the solve resuming warm, so the committed slot
-	// matches the full per-slot optimum to the gate tolerance and stays
-	// Theorem-1 feasible (frozen columns carry the previous feasible
-	// decision; the reduced program solves under the residual capacities).
-	// Composes with Candidates (frozen users drop out of the ragged
-	// program entirely; without Candidates the active users solve over
-	// all I clouds) and with Shards (blocks whose whole user range is
-	// untouched skip their solve, gated the same way). Off by default;
-	// false leaves every existing path bitwise unchanged.
-	Incremental bool
-	// IncrementalTol is the dual-feasibility tolerance of the freeze gate,
-	// relative to 1 + |static coefficient| per pair (default 1e-7): a
-	// frozen user is re-admitted when a support pair of its carried column
-	// sits more than IncrementalTol·(1+|ā_ij|) above the column's minimum
-	// reduced gradient, or below −IncrementalTol·(1+|ā_ij|). Smaller
-	// values pin the incremental path tighter to the full solve at the
-	// cost of more re-admissions under price drift. Only meaningful with
-	// Incremental.
-	IncrementalTol float64
 	// FastMath routes the entropy hot loop through the batch kernels of
 	// internal/numkernel: the per-variable migration logs are computed a
 	// row at a time (ratio gather → LogBatch → accumulate) with the
@@ -175,9 +149,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CandidateTol <= 0 {
 		o.CandidateTol = 1e-7
-	}
-	if o.IncrementalTol <= 0 {
-		o.IncrementalTol = 1e-7
 	}
 	if o.FastMathF32 {
 		o.FastMath = true
@@ -271,10 +242,9 @@ type StepDiag struct {
 	// neither). Both are zero under Options.FastMath, which replaces the
 	// cache with batch kernels.
 	LogCacheHits, LogCacheMisses int64
-	// FrozenUsers and ReadmittedUsers describe the incremental path (zero
-	// when Options.Incremental is off): users held at their carried
-	// decision when the slot was committed, and users the soundness gate
-	// re-admitted to the active set during the slot.
+	// FrozenUsers and ReadmittedUsers are always zero: every path
+	// re-solves every user each slot. They remain so readers of the
+	// per-slot diagnostics keep a stable field set.
 	FrozenUsers, ReadmittedUsers int
 }
 
@@ -422,8 +392,6 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		d.ShardIters = s.CoordIters - shardBefore.CoordIters
 		d.ShardResidual = s.MaxResidual
 		d.ShardMaxSeconds = s.MaxSeconds
-		d.FrozenUsers = s.Frozen - shardBefore.Frozen
-		d.ReadmittedUsers = s.Readmitted - shardBefore.Readmitted
 		for _, b := range o.shrd.blocks {
 			h, m := b.obj.logCacheTotals()
 			d.LogCacheHits += h
@@ -439,8 +407,6 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		d.CandRounds = s.Rounds - statsBefore.Rounds
 		d.CandExpanded = s.Expanded - statsBefore.Expanded
 		d.CandNNZ = s.FinalNNZ
-		d.FrozenUsers = s.Frozen - statsBefore.Frozen
-		d.ReadmittedUsers = s.Readmitted - statsBefore.Readmitted
 		d.LogCacheHits, d.LogCacheMisses = o.sparse.obj.logCacheTotals()
 	default:
 		o.lastDiag.LogCacheHits, o.lastDiag.LogCacheMisses = o.obj.logCacheTotals()
@@ -454,9 +420,6 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		}
 		if o.shrd != nil {
 			m.ObserveShards(d.ShardIters, d.ShardResidual, o.shrd.blockSecs)
-		}
-		if o.opts.Incremental {
-			m.ObserveIncremental(d.FrozenUsers, d.ReadmittedUsers, d.Seconds)
 		}
 		if o.cloudTot == nil {
 			o.cloudTot = make([]float64, in.I)
@@ -487,7 +450,7 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	switch {
 	case o.opts.Shards > 0:
 		o.initShard(in)
-	case o.opts.Candidates > 0 || o.opts.Incremental:
+	case o.opts.Candidates > 0:
 		o.initSparse(in)
 	case o.opts.DenseRows:
 		o.cons = p2Constraints(in, 0)

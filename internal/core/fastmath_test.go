@@ -67,9 +67,11 @@ func TestFastMathF32MatchesExact(t *testing.T) {
 // TestFastMathConformance runs the full paper-conformance oracle on a
 // FastMath schedule: Theorem-1 feasibility, the Lemma-1 identity, dual
 // certificate validity, weak duality, and the Theorem-2 ratio must all
-// hold on the fast path exactly as they do on the exact path.
+// hold on the fast path exactly as they do on the exact path. The first
+// row is the exact candidate path the fast rows are measured against.
 func TestFastMathConformance(t *testing.T) {
 	for _, opts := range []Options{
+		{Solver: tightOpts(), Candidates: 2},
 		{Solver: tightOpts(), FastMath: true},
 		{Solver: tightOpts(), Candidates: 2, FastMath: true},
 		{Solver: tightOpts(), FastMathF32: true},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"edgealloc/internal/conform"
@@ -111,33 +110,6 @@ func FuzzShardVsDense(f *testing.F) {
 			if d > 1e-6 {
 				t.Errorf("slot %d (I=%d J=%d): P2 objective rel gap %g > 1e-6",
 					tt, in.I, in.J, d)
-			}
-		}
-	})
-}
-
-// FuzzIncrementalVsFull is the incremental tier's differential fuzz:
-// under fuzzed regimes and churn rates — the attachment traces are
-// rewritten so exactly ⌈churn·J⌉ users move per slot, spanning the 0%
-// all-frozen and 100% nothing-frozen edges — every slot-coupled
-// delta-driven solve must match the full solve's P2 objective to 1e-6
-// relative (fuzz headroom as above; the deterministic suite pins 1e-8).
-// A gate that wrongly certifies a frozen user moves the objective far
-// beyond that, so the bound detects every soundness failure.
-func FuzzIncrementalVsFull(f *testing.F) {
-	f.Add(int64(41), 3, 3, 2, 0)
-	f.Add(int64(11), 2, 5, 3, 35)
-	f.Add(int64(97), 4, 4, 3, 100)
-	f.Fuzz(func(t *testing.T, seed int64, nI, nJ, nT, churnPct int) {
-		in := conform.GenInstance(conform.GenConfig{
-			Seed: seed, I: span(nI, 2, 4), J: span(nJ, 1, 5), T: span(nT, 1, 3)})
-		churn := float64(span(churnPct, 0, 100)) / 100
-		withChurn(in, churn, rand.New(rand.NewSource(seed^0x5eed)))
-		gaps := coupledPathGaps(t, in, Options{Solver: ultraTightOpts()}, incrTightOpts())
-		for tt, d := range gaps {
-			if d > 1e-6 {
-				t.Errorf("slot %d (I=%d J=%d churn=%g): P2 objective rel gap %g > 1e-6",
-					tt, in.I, in.J, churn, d)
 			}
 		}
 	})

@@ -51,11 +51,6 @@ type shardState struct {
 	blockSecs []float64 // per-shard solve seconds of the current slot
 	rcln      []float64 // per-cloud reconfiguration gradient at the optimum
 	restTot   []float64 // per-cloud totals scratch for restoreCapacity
-	incrBase  []float64 // per-cloud gradient scratch of the freeze gate
-	// committed reports that at least one slot committed its warm state,
-	// so the carried duals and decision are trustworthy freeze inputs
-	// (Options.Incremental).
-	committed bool
 	stats     ShardStats
 	res       alm.Result // result view over the assembled duals
 }
@@ -89,11 +84,6 @@ type ShardStats struct {
 	// across all slots — materially nonzero only when a coordination loop
 	// exhausted ShardMaxIters above ShardPrimalTol.
 	Restored float64
-	// Frozen is the total number of users whose shard skipped its block
-	// solves (Options.Incremental; zero otherwise), and Readmitted the
-	// total number of users the freeze gate thawed back in.
-	Frozen     int
-	Readmitted int
 	// RemoteFallbacks counts remote blocks folded back into local solving
 	// (Options.ShardWorkers; zero otherwise). A folded block re-probes its
 	// worker at the next few slot boundaries, so one flapping worker can
@@ -122,7 +112,6 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		blockSecs: make([]float64, len(parts)),
 		rcln:      make([]float64, in.I),
 		restTot:   make([]float64, in.I),
-		incrBase:  make([]float64, in.I),
 	}
 	if o.opts.Candidates > 0 {
 		s.nearest = model.NearestClouds(in.InterDelay, o.opts.Candidates)
@@ -255,11 +244,6 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 		}
 	}
 	for _, b := range s.blocks {
-		// Incremental freezing (Options.Incremental): a shard whose whole
-		// user range kept its attachment holds the carried decision and
-		// skips its block solves, certified by the gate below. beginSlot
-		// still runs so a mid-slot thaw re-enters with a valid bind.
-		b.frozen = o.opts.Incremental && t > 0 && s.committed && blockUntouched(in, t, b.rng)
 		b.beginSlot(o, warmDense, t, ctx)
 	}
 	for _, rb := range s.remotes {
@@ -295,25 +279,14 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 		// coordination round (bounded — a repeatedly failing block folds
 		// back to local solving, after which its sync is trivially clean).
 		lost := s.syncRemotes()
-		thawed := 0
-		if o.opts.Incremental {
-			if !r.Converged {
-				// An unconverged coordination certifies nothing: thaw every
-				// frozen shard and resume.
-				thawed = s.thawFrozen()
-			} else {
-				thawed = o.gateFrozenShard(r)
-			}
-		}
 		added := 0
 		if o.opts.Candidates > 0 {
 			added = o.priceAndExpandShard(r)
 		}
-		if thawed == 0 && added == 0 && lost == 0 {
+		if added == 0 && lost == 0 {
 			break
 		}
 		s.stats.Expanded += added
-		s.stats.Readmitted += thawed
 		for si, b := range s.blocks {
 			if b.dirty {
 				b.rebind(o)
@@ -347,15 +320,11 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 	for _, rb := range s.remotes {
 		rb.Commit()
 	}
-	s.committed = true
 	maxSec := 0.0
 	for i, b := range s.blocks {
 		copy(b.thetaWarm, b.thetaIter)
 		if s.blockSecs[i] > maxSec {
 			maxSec = s.blockSecs[i]
-		}
-		if b.frozen {
-			s.stats.Frozen += b.nJ
 		}
 	}
 
@@ -376,20 +345,6 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 		Converged:  cres.Converged,
 	}
 	return &s.res, s.xDense, nil
-}
-
-// blockUntouched reports whether every user in rng kept its attachment
-// from slot t−1 to t — the per-shard delta test of the incremental tier.
-// Attachment is the only per-user slot input of P2 (see incremental.go),
-// so an untouched block's subproblem differs from the previous slot's
-// only through the coordination prices, which the gate certifies.
-func blockUntouched(in *model.Instance, t int, rng shard.Range) bool {
-	for j := rng.Lo; j < rng.Hi; j++ {
-		if in.Attach[t][j] != in.Attach[t-1][j] {
-			return false
-		}
-	}
-	return true
 }
 
 // syncRemotes pulls every remote block's post-round state into its
@@ -413,97 +368,6 @@ func (s *shardState) syncRemotes() int {
 		}
 	}
 	return lost
-}
-
-// thawFrozen re-admits every frozen shard, restoring its committed
-// demand duals, and returns the number of users thawed.
-func (s *shardState) thawFrozen() int {
-	n := 0
-	for _, b := range s.blocks {
-		if b.frozen {
-			copy(b.thetaIter, b.thetaWarm)
-			b.frozen = false
-			n += b.nJ
-		}
-	}
-	return n
-}
-
-// gateFrozenShard certifies every frozen shard's carried decision
-// against the coordination result — the same per-column KKT test as
-// gateFrozen (incremental.go), with ρ/ν from the consensus subproblem
-// and the reconfiguration gradient at the assembled totals. A violating
-// user thaws its whole shard (restoring the committed θ warm start);
-// certified users take θ_j = max(0, min_i g_ij) so the assembled dual
-// record embeds the full program's KKT point. Returns users thawed.
-func (o *OnlineApprox) gateFrozenShard(r *shard.Result) int {
-	in, s := o.inst, o.shrd
-	nI, nJ := in.I, in.J
-	any := false
-	for _, b := range s.blocks {
-		if b.frozen {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return 0
-	}
-	eps1 := o.opts.Epsilon1
-	for i := 0; i < nI; i++ {
-		s.rcln[i] = o.obj.rcFac[i] * math.Log((r.Totals[i]+eps1)/(o.obj.prevTot[i]+eps1))
-	}
-	rho, nu := r.RhoDuals, r.NuDuals
-	rhoSum := 0.0
-	for _, v := range rho {
-		rhoSum += v
-	}
-	base := s.incrBase
-	for i := 0; i < nI; i++ {
-		base[i] = s.rcln[i] - (rhoSum - rho[i]) + nu[i]
-	}
-	tol := o.opts.IncrementalTol
-	thawed := 0
-	for _, b := range s.blocks {
-		if !b.frozen {
-			continue
-		}
-		viol := false
-	users:
-		for jl := 0; jl < b.nJ; jl++ {
-			j := b.rng.Lo + jl
-			aMin := math.Inf(1)
-			for i := 0; i < nI; i++ {
-				if g := o.obj.coef[i*nJ+j] + base[i]; g < aMin {
-					aMin = g
-				}
-			}
-			for i := 0; i < nI; i++ {
-				d := i*nJ + j
-				if o.obj.prev[d] <= 0 {
-					continue
-				}
-				c := o.obj.coef[d]
-				g := c + base[i]
-				sc := tol * (1 + math.Abs(c))
-				if g-aMin > sc || g < -sc {
-					viol = true
-					break users
-				}
-			}
-			if aMin > 0 {
-				b.thetaIter[jl] = aMin
-			} else {
-				b.thetaIter[jl] = 0
-			}
-		}
-		if viol {
-			copy(b.thetaIter, b.thetaWarm)
-			b.frozen = false
-			thawed += b.nJ
-		}
-	}
-	return thawed
 }
 
 // restoreCapacity projects the assembled schedule onto exact capacity
@@ -594,11 +458,6 @@ func (o *OnlineApprox) priceAndExpandShard(r *shard.Result) int {
 	tol := o.opts.CandidateTol
 	added := 0
 	for _, b := range s.blocks {
-		if b.frozen {
-			// The gate certifies frozen users over all I clouds, which
-			// subsumes this pass; an admitted pair would never be solved.
-			continue
-		}
 		for i := 0; i < nI; i++ {
 			row := o.obj.coef[i*nJ+b.rng.Lo : i*nJ+b.rng.Hi]
 			base := s.rcln[i] - (rhoSum - rho[i]) + nu[i]
@@ -648,10 +507,6 @@ type shardBlock struct {
 	demand []float64
 	served []float64
 	dirty  bool
-	// frozen holds this slot's incremental freeze decision: the block's
-	// users all kept their attachment and the gate has not thawed it, so
-	// Solve skips the ALM solve and reports the carried totals.
-	frozen bool
 }
 
 var _ shard.Block = (*shardBlock)(nil)
@@ -756,13 +611,6 @@ func (b *shardBlock) bind(o *OnlineApprox) {
 // Solve implements shard.Block: one warm ALM solve of the block's demand-
 // constrained subproblem under the coordinator's consensus penalty.
 func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, error) {
-	if b.frozen {
-		// Frozen shard: the carried decision (the slot's warm start, which
-		// is the previous post-repair decision restricted to the block) is
-		// held fixed; only its totals feed the coordination.
-		b.totalsInto(totals, b.warm[:b.cand.NNZ()])
-		return 0, 0, nil
-	}
 	nnz := b.cand.NNZ()
 	b.obj.rho = rho
 	b.obj.target = target
@@ -849,10 +697,6 @@ func packedTotalsInto(tot, x []float64, rowPtr []int) {
 		tot[i] = s
 	}
 }
-
-// Frozen implements shardrpc.Mirror: frozen blocks skip their solves
-// entirely, so the transport keeps them off the network.
-func (b *shardBlock) Frozen() bool { return b.frozen }
 
 // Spec implements shardrpc.Mirror: a deep copy of the block's current
 // bind and warm state under the given wire identity. Called at spec

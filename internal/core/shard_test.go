@@ -145,7 +145,8 @@ func TestShardCountDeterministicRerun(t *testing.T) {
 // Theorem-1 feasibility via the conformance oracle, a valid
 // competitive-ratio certificate, and end-to-end cost agreement with the
 // dense run (loosened to 1e-4 by warm-start drift chaining through
-// uncoupled slots).
+// uncoupled slots). Every path re-solves every user, so the per-slot
+// FrozenUsers/ReadmittedUsers diagnostics must read zero.
 func TestShardFullRunFeasibleAndCertified(t *testing.T) {
 	for _, opts := range []Options{
 		shardTestOpts(2),
@@ -153,9 +154,17 @@ func TestShardFullRunFeasibleAndCertified(t *testing.T) {
 	} {
 		in := conform.GenInstance(conform.GenConfig{Seed: 11, I: 4, J: 6, T: 4})
 		alg := NewOnlineApprox(in, opts)
-		sched, err := alg.Run()
-		if err != nil {
-			t.Fatal(err)
+		var sched model.Schedule
+		for tt := 0; tt < in.T; tt++ {
+			x, err := alg.Step(tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched = append(sched, x)
+			if d := alg.LastStepDiag(); d.FrozenUsers != 0 || d.ReadmittedUsers != 0 {
+				t.Errorf("S=%d slot %d: frozen=%d readmitted=%d, want 0",
+					opts.Shards, tt, d.FrozenUsers, d.ReadmittedUsers)
+			}
 		}
 		st := alg.ShardStats()
 		if st.Slots != in.T || st.CoordIters < in.T {

@@ -52,9 +52,6 @@ type sparseState struct {
 	xDense  []float64 // dense scatter of the latest reduced solution
 	rcln    []float64 // per-cloud reconfiguration gradient at the optimum
 	stats   SparseStats
-	// incr holds the event-driven incremental state (Options.Incremental);
-	// nil on the plain candidate path. See incremental.go.
-	incr *incrState
 }
 
 // SparseStats counts the work of the candidate-set path for
@@ -75,12 +72,6 @@ type SparseStats struct {
 	// OuterIters is the total number of ALM multiplier updates across all
 	// reduced solves.
 	OuterIters int
-	// Frozen is the total number of users held at their carried decision
-	// across committed slots (Options.Incremental; zero otherwise).
-	Frozen int
-	// Readmitted is the total number of frozen users the soundness gate
-	// re-admitted to the active set (Options.Incremental; zero otherwise).
-	Readmitted int
 }
 
 // SparseStats returns the candidate-set work counters (zero value when
@@ -97,17 +88,9 @@ func (o *OnlineApprox) SparseStats() SparseStats {
 // (p2Groups) — only the variable layout differs, so the dual record and
 // the certificate machinery are untouched.
 func (o *OnlineApprox) initSparse(in *model.Instance) {
-	// Incremental without Candidates still routes through the ragged
-	// layer (frozen users must drop out of the program); the active users
-	// then solve over all I clouds, so the reduction itself prunes
-	// nothing and no pricing pass runs.
-	k := o.opts.Candidates
-	if k <= 0 {
-		k = in.I
-	}
 	o.sparse = &sparseState{
 		builder: model.NewCandidateBuilder(in.I, in.J),
-		nearest: model.NearestClouds(in.InterDelay, k),
+		nearest: model.NearestClouds(in.InterDelay, o.opts.Candidates),
 		groups:  p2Groups(in),
 		obj: &p2SparseObjective{
 			nI:      in.I,
@@ -123,9 +106,6 @@ func (o *OnlineApprox) initSparse(in *model.Instance) {
 		xDense: make([]float64, in.I*in.J),
 		rcln:   make([]float64, in.I),
 	}
-	if o.opts.Incremental {
-		o.sparse.incr = newIncrState(in)
-	}
 }
 
 // solveSparse runs slot t's certified reduced solve: seed candidate sets,
@@ -134,9 +114,6 @@ func (o *OnlineApprox) initSparse(in *model.Instance) {
 // the decision; the returned slice aliases sparse scratch and is only
 // valid until the next call.
 func (o *OnlineApprox) solveSparse(ctx context.Context, t int) (*alm.Result, []float64, error) {
-	if o.sparse.incr != nil {
-		return o.solveIncremental(ctx, t)
-	}
 	in, s := o.inst, o.sparse
 
 	// Seed: per-user nearest clouds plus the support of the warm-start
@@ -343,13 +320,6 @@ type p2SparseObjective struct {
 	rcFac   []float64 // per cloud, aliases the dense objective's
 	prevTot []float64 // per cloud, aliases the dense objective's
 
-	// totOff, when non-nil, offsets each cloud's total inside the
-	// reconfiguration regularizer by the flow its frozen users carry
-	// (Options.Incremental): the reduced program sees X_i = A_i + F_i
-	// with only the active part A_i as variables. Nil on the plain
-	// candidate path, where the evaluation is bitwise unchanged.
-	totOff []float64
-
 	eps1, eps2 float64
 	workers    int
 
@@ -428,18 +398,12 @@ func (o *p2SparseObjective) evalRow(i int, x, grad []float64) float64 {
 		s, f, hits, misses := entropyRowValue(row, coef, prev, mgFac, lastNum, lastLg2, o.eps2)
 		o.hitRow[i] += hits
 		o.missRow[i] += misses
-		if o.totOff != nil {
-			s += o.totOff[i]
-		}
 		lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
 		return f + o.rcFac[i]*((s+o.eps1)*lg-s)
 	}
 	s := 0.0
 	for _, v := range row {
 		s += v
-	}
-	if o.totOff != nil {
-		s += o.totOff[i]
 	}
 	lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
 	f := o.rcFac[i] * ((s+o.eps1)*lg - s)
@@ -461,9 +425,6 @@ func (o *p2SparseObjective) evalRowFast(i int, x, grad []float64) float64 {
 		ratio := o.ratio32[lo:hi]
 		s := entropyRatioPass32(row, o.invDen32[lo:hi], ratio, o.eps2)
 		logBatch32(ratio, ratio)
-		if o.totOff != nil {
-			s += o.totOff[i]
-		}
 		lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
 		if grad == nil {
 			f := entropyFastValue32(row, coef, mgFac, ratio, o.eps2)
@@ -476,9 +437,6 @@ func (o *p2SparseObjective) evalRowFast(i int, x, grad []float64) float64 {
 	ratio := o.ratio[lo:hi]
 	s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)
 	logBatch(ratio, ratio)
-	if o.totOff != nil {
-		s += o.totOff[i]
-	}
 	lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
 	if grad == nil {
 		f := entropyFastValue(row, coef, mgFac, ratio, o.eps2)

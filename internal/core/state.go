@@ -18,14 +18,12 @@ import (
 // The per-slot dual records (Thetas, Rhos, Nus) preserve the dual
 // certificate and the conformance oracle across a restore.
 //
-// Path-internal warm state (the candidate builder's sets, the sharded
-// coordinator's per-block duals, the incremental tier's committed gate
-// duals) is deliberately not captured: each path rebuilds it from the
-// carried decision, and the incremental delta detector treats the first
-// post-restore slot as having no committed predecessor, so it re-solves
-// every user — a full, certified solve — before resuming delta-driven
-// slots. Restored runs therefore match uninterrupted runs to the solver
-// tolerance (pinned to 1e-8 by the serve-layer tests), not bitwise.
+// Path-internal warm state (the candidate builder's sets and the sharded
+// coordinator's per-block duals) is deliberately not captured: each path
+// rebuilds it from the carried decision, so the first post-restore slot
+// is a full, certified solve from that decision. Restored runs on those
+// paths therefore match uninterrupted runs to the solver tolerance
+// (pinned to 1e-8 by the serve-layer tests), not bitwise.
 type WarmState struct {
 	// Slot is the next unsolved slot; len(Schedule) committed decisions
 	// precede it.

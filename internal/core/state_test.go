@@ -36,7 +36,7 @@ func roundtripState(t *testing.T, st *WarmState) *WarmState {
 // input of Step), and slot-coupled P2 cost within the path's certified
 // tolerance of the dense reference on the paths that rebuild internal
 // warm state after a restore — the same coupled measure the
-// candidate/shard/incremental equivalence tests use, with the same
+// candidate/shard equivalence tests use, with the same
 // ultra-tight budgets.
 func TestRestoreMatchesUninterrupted(t *testing.T) {
 	ultra := ultraTightOpts()
@@ -61,7 +61,6 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 		{"default", Options{}, 0, nil},
 		{"dense-rows", Options{DenseRows: true}, 0, nil},
 		{"candidates", Options{Candidates: 2, Solver: ultra}, 1e-8, nil},
-		{"incremental", Options{Incremental: true, IncrementalTol: 1e-9, Solver: ultra}, 1e-8, nil},
 		{"shards", shardTestOpts(2), 1e-7, []int{2}},
 		{"fastmath", Options{FastMath: true}, 0, nil},
 	}

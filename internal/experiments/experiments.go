@@ -76,14 +76,6 @@ type Params struct {
 	// the shard blocks on over RPC (core.Options.ShardWorkers); empty
 	// solves every shard in-process. Only meaningful with Shards > 0.
 	ShardWorkers []string
-	// Incremental turns on event-driven incremental slot solving
-	// (core.Options.Incremental): each slot re-solves only the users
-	// whose attachment changed, holding everyone else at their warm
-	// iterates behind a dual-feasibility gate that re-admits any user it
-	// cannot certify. IncrementalTol overrides the gate tolerance (0 =
-	// package default). Composes with Candidates, FastMath, and Shards.
-	Incremental    bool
-	IncrementalTol float64
 	// Scenario overrides the default §V-A price/weight knobs (fields at
 	// their zero values keep the scenario defaults).
 	Scenario scenario.Config
@@ -222,30 +214,26 @@ func fastGreedy() *baseline.Greedy {
 // approxAlg adapts the paper's algorithm to the sim.Algorithm interface
 // with a fresh state and the experiment solver profile per Solve.
 type approxAlg struct {
-	eps1, eps2     float64
-	candidates     int
-	shards         int
-	shardWorkers   []string
-	fastMath       bool
-	fastMathF32    bool
-	incremental    bool
-	incrementalTol float64
-	metrics        *telemetry.SolverMetrics
+	eps1, eps2   float64
+	candidates   int
+	shards       int
+	shardWorkers []string
+	fastMath     bool
+	fastMathF32  bool
+	metrics      *telemetry.SolverMetrics
 }
 
 func (a approxAlg) Name() string { return "online-approx" }
 
 func (a approxAlg) Solve(in *model.Instance) (model.Schedule, error) {
 	alg := core.NewOnlineApprox(in, core.Options{
-		Epsilon1:       a.eps1,
-		Epsilon2:       a.eps2,
-		Candidates:     a.candidates,
-		Shards:         a.shards,
-		ShardWorkers:   a.shardWorkers,
-		FastMath:       a.fastMath,
-		FastMathF32:    a.fastMathF32,
-		Incremental:    a.incremental,
-		IncrementalTol: a.incrementalTol,
+		Epsilon1:     a.eps1,
+		Epsilon2:     a.eps2,
+		Candidates:   a.candidates,
+		Shards:       a.shards,
+		ShardWorkers: a.shardWorkers,
+		FastMath:     a.fastMath,
+		FastMathF32:  a.fastMathF32,
 		Solver: alm.Options{MaxOuter: 40, InnerIters: 600,
 			FeasTol: 1e-7, DualTol: 1e-3, ObjTol: 1e-8, Penalty: 2},
 		Metrics: a.metrics,
@@ -260,7 +248,6 @@ func (p Params) approx() approxAlg {
 	return approxAlg{candidates: p.Candidates, shards: p.Shards,
 		shardWorkers: p.ShardWorkers,
 		fastMath:     p.FastMath, fastMathF32: p.FastMathF32,
-		incremental: p.Incremental, incrementalTol: p.IncrementalTol,
 		metrics: p.Metrics}
 }
 
@@ -367,7 +354,6 @@ func Fig1(p Params) (*Result, error) {
 		apRun, err := sim.ExecuteOpts(tc.inst, approxAlg{
 			shards: p.Shards, shardWorkers: p.ShardWorkers,
 			fastMath: p.FastMath, fastMathF32: p.FastMathF32,
-			incremental: p.Incremental, incrementalTol: p.IncrementalTol,
 			metrics: p.Metrics}, p.simOptions())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 %s: %w", tc.label, err)
@@ -464,7 +450,6 @@ func Fig4(p Params) (*Result, error) {
 					eps1: eps, eps2: eps, candidates: p.Candidates, shards: p.Shards,
 					shardWorkers: p.ShardWorkers,
 					fastMath:     p.FastMath, fastMathF32: p.FastMathF32,
-					incremental: p.Incremental, incrementalTol: p.IncrementalTol,
 					metrics: p.Metrics}}
 			},
 		})

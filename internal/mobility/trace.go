@@ -94,8 +94,8 @@ func RandomWalk(adj [][]int, users, horizon int, rng *rand.Rand) (*Trace, error)
 
 // ChurnConfig parameterizes the controlled-churn synthetic trace: a
 // mobility pattern whose per-slot switching intensity is an exact input
-// rather than an emergent property, which is what the incremental
-// solving tier's churn-proportional claims are measured against.
+// rather than an emergent property, so solver cost can be measured as a
+// function of mobility intensity.
 type ChurnConfig struct {
 	// Users is the number of users, Horizon the number of slots.
 	Users, Horizon int

@@ -4,58 +4,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
 	"testing"
 
-	"edgealloc/internal/core"
 	"edgealloc/internal/model"
 )
 
-// The churn tier measures the event-driven incremental path
-// (core.Options.Incremental) against the best non-incremental
-// configuration as a function of mobility intensity. SyntheticInstance
-// is the wrong workload for this question: it re-draws every operation
-// price and re-attaches ~30% of users per slot, so no deployment-shaped
-// stability exists for the incremental tier to exploit. ChurnInstance
+// The churn tier measures the flagship sharded configuration as a
+// function of mobility intensity. SyntheticInstance re-draws every
+// operation price and re-attaches ~30% of users per slot; ChurnInstance
 // keeps the same geometry but makes the churn rate an exact input and
 // lets prices drift smoothly, which is how a real slot sequence behaves
 // (the Rome taxi trace churns a few percent per minute over
 // slowly-moving spot prices).
 
 // churnRates is the mobility sweep: the paper-realistic low end, the
-// taxi-trace band, heavy mobility, and the 100% edge where the
-// incremental tier degenerates to the plain candidate path and its
-// detection/gate overhead is all that remains.
+// taxi-trace band, heavy mobility, and the 100% edge.
 var churnRates = []float64{0.01, 0.05, 0.2, 1}
-
-// churnIncrementalTol is the soundness-gate tolerance of the churn
-// kernels, loosened for the same reason as scaleCandidateTol: under the
-// bounded scaleOptions budget the duals carry penalty-scaled noise far
-// above their converged values, and a tight gate reads that noise as
-// violations, re-admitting (and re-solving) users the optimum never
-// moves. The property tests in internal/core pin 1e-8 incremental-vs-
-// full equality under converged duals; the churn tier measures
-// throughput at the budget a deployment would run.
-const churnIncrementalTol = 1.0
-
-// The reduced-solve budget of the incremental variant. The reduced
-// program re-enters warm from the previous slot's duals with only the
-// churned users' blocks live, so a small iteration cap suffices; the
-// exit is residual-driven at the same 1e-4 capacity bar the sharded
-// coordinator uses (scaleShardPrimalTol), with the dual/objective tests
-// loosened so reaching that bar actually terminates the outer loop
-// instead of running the caps out. At ≤5% churn this budget holds every
-// slot inside the 1e-4 bar; at ≥20% churn the reduced program is
-// effectively full-sized and the caps leave capacity residuals of
-// ~1e-4–3e-3 relative — the degeneration edge recorded in
-// EXPERIMENTS.md, where the sharded path is the right configuration.
-const (
-	churnIncrOuter   = 4
-	churnIncrInner   = 100
-	churnIncrFeasTol = 1e-4
-	churnIncrDualTol = 5e-2
-	churnIncrObjTol  = 1e-2
-)
 
 // ChurnInstance builds the controlled-churn synthetic instance: the
 // SyntheticInstance geometry (plane-derived delays, ~1.6x-mean
@@ -102,62 +66,35 @@ func ChurnInstance(I, J, T int, churn float64, seed int64) (*model.Instance, err
 	return in, nil
 }
 
-// StepChurn returns the benchmark kernel for one churn rate and variant:
-//
-//   - "full": the best non-incremental configuration at this size — the
-//     sharded candidate path at S = 4 (shardOptions), the fastest
-//     recorded StepShard point on the flagship grid. Its cost is flat in
-//     the churn rate, which is the point of comparison.
-//   - "incr": the event-driven incremental tier over the same certified
-//     candidate sets (Candidates = scaleCandidates), gated at
-//     churnIncrementalTol. Its cost tracks the churn rate: at 1% only
-//     ⌈0.01·J⌉ users' blocks are re-solved per slot, at 100% every slot
-//     is a plain candidate-path solve plus detection overhead.
-func StepChurn(size ScaleSize, churn float64, variant string) func(*testing.B) {
+// StepChurn returns the benchmark kernel for one churn rate: the
+// sharded candidate path at S = 4 (shardOptions), the fastest recorded
+// StepShard point on the flagship grid.
+func StepChurn(size ScaleSize, churn float64) func(*testing.B) {
 	return func(b *testing.B) {
 		in, err := ChurnInstance(size.I, size.J, scaleHorizon, churn, scaleSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var opts core.Options
-		switch variant {
-		case "full":
-			opts = shardOptions(4)
-		case "incr":
-			opts = scaleOptions()
-			opts.Solver.MaxOuter = churnIncrOuter
-			opts.Solver.InnerIters = churnIncrInner
-			opts.Solver.FeasTol = churnIncrFeasTol
-			opts.Solver.DualTol = churnIncrDualTol
-			opts.Solver.ObjTol = churnIncrObjTol
-			opts.Candidates = scaleCandidates
-			opts.CandidateTol = scaleCandidateTol
-			opts.Incremental = true
-			opts.IncrementalTol = churnIncrementalTol
-		default:
-			b.Fatalf("perf: unknown churn variant %q", variant)
-		}
-		stepPasses(b, in, opts)
+		stepPasses(b, in, shardOptions(4))
 	}
 }
 
-// ChurnSpecName names one churn-tier kernel.
-func ChurnSpecName(size ScaleSize, churn float64, variant string) string {
-	return fmt.Sprintf("StepChurn/I=%d,J=%d/c=%g%%/%s", size.I, size.J, churn*100, variant)
+// ChurnSpecName names one churn-tier kernel. The "/full" suffix keeps
+// the names of the recorded BENCH_solver.json baselines.
+func ChurnSpecName(size ScaleSize, churn float64) string {
+	return fmt.Sprintf("StepChurn/I=%d,J=%d/c=%g%%/full", size.I, size.J, churn*100)
 }
 
-// ChurnSpecs lists the churn tier: full-vs-incremental at the flagship
-// grid point across the mobility sweep.
+// ChurnSpecs lists the churn tier: one kernel per mobility rate at the
+// flagship grid point.
 func ChurnSpecs() []Spec {
 	size := ScaleSize{I: 50, J: 5000}
-	var specs []Spec
+	specs := make([]Spec, 0, len(churnRates))
 	for _, churn := range churnRates {
-		for _, variant := range []string{"full", "incr"} {
-			specs = append(specs, Spec{
-				Name:  ChurnSpecName(size, churn, variant),
-				Bench: StepChurn(size, churn, variant),
-			})
-		}
+		specs = append(specs, Spec{
+			Name:  ChurnSpecName(size, churn),
+			Bench: StepChurn(size, churn),
+		})
 	}
 	return specs
 }

@@ -72,7 +72,7 @@ func BenchmarkStepDist(b *testing.B) {
 }
 
 // BenchmarkStepChurn exposes the churn tier; use
-// -bench 'StepChurn/I=50,J=5000/c=5%/incr' to pick one point.
+// -bench 'StepChurn/I=50,J=5000/c=5%/full' to pick one point.
 func BenchmarkStepChurn(b *testing.B) {
 	if testing.Short() {
 		b.Skip("churn tier runs at the flagship size; skipped under -short")
@@ -88,7 +88,7 @@ func TestSpecsAreNamedAndRunnable(t *testing.T) {
 		t.Fatalf("Specs(false) = %d kernels, want the %d base kernels", n, base)
 	}
 	specs := Specs(true)
-	want := base + len(ScaleSpecs()) + len(SparseSpecs()) + len(ShardSpecs()) + len(DistSpecs()) + len(ChurnSpecs())
+	want := base + len(ScaleSpecs()) + len(SparseSpecs()) + len(ShardSpecs()) + len(DistSpecs()) + len(churnRates)
 	if len(specs) != want {
 		t.Fatalf("Specs(true) = %d kernels, want %d", len(specs), want)
 	}

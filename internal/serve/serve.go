@@ -82,14 +82,6 @@ type Config struct {
 	// Worker failures fold back to local solving, so a dead worker slows
 	// sessions down without failing them.
 	ShardWorkers []string
-	// Incremental makes every session solve slots with the event-driven
-	// incremental tier (core.Options.Incremental): only users whose
-	// attachment changed since the previous slot are re-solved, with the
-	// dual-feasibility gate re-admitting any frozen user it cannot
-	// certify. IncrementalTol overrides the gate tolerance (0 = package
-	// default). Per-session options can also enable it selectively.
-	Incremental    bool
-	IncrementalTol float64
 	// SnapshotDir, when set, is where session snapshots persist:
 	// explicit POST …/snapshot calls write there, TTL eviction saves the
 	// warm state to disk instead of dropping it (a later request for the

@@ -489,6 +489,20 @@ func TestSessionAPIErrors(t *testing.T) {
 		map[string]any{"instance": json.RawMessage(`{"I":1}`)}, nil); code != http.StatusBadRequest {
 		t.Errorf("invalid instance: status %d, want 400", code)
 	}
+	// Solver options the API no longer has are rejected by name.
+	var buf bytes.Buffer
+	if err := model.WriteInstance(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"incremental", "incrementalTol"} {
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
+			"instance": json.RawMessage(buf.Bytes()),
+			"options":  map[string]any{field: 1},
+		}, nil)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), `\"`+field+`\"`) {
+			t.Errorf("removed option %s: status %d body %s, want 400 naming it", field, code, raw)
+		}
+	}
 	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusNoContent {
 		t.Errorf("delete: status %d, want 204", code)
 	}
@@ -646,66 +660,5 @@ func TestFastMathSession(t *testing.T) {
 	gotTotal := in.Total(want.Breakdown)
 	if math.Abs(gotTotal-wantTotal) > 1e-8*(1+math.Abs(wantTotal)) {
 		t.Errorf("fast-math run total %g vs exact %g beyond 1e-8", gotTotal, wantTotal)
-	}
-}
-
-// TestIncrementalSession drives one session with the per-session
-// incremental option and one on a daemon forced incremental via Config,
-// and requires both schedules to match an incremental batch sim run
-// exactly — the incremental path is deterministic for a fixed instance.
-// The solve diagnostics must surface the frozen-user accounting on the
-// wire: with a loose gate, slots after the first hold every non-moving
-// user frozen.
-func TestIncrementalSession(t *testing.T) {
-	const horizon = 3
-	in := testInstance(t, 4, horizon, 17)
-	iopts := core.Options{Incremental: true, IncrementalTol: 1e3}
-	want, err := sim.Execute(in, core.NewOnlineApprox(nil, iopts))
-	if err != nil {
-		t.Fatalf("incremental reference run: %v", err)
-	}
-
-	var buf bytes.Buffer
-	if err := model.WriteInstance(&buf, in); err != nil {
-		t.Fatalf("encoding instance: %v", err)
-	}
-
-	// Per-session opt-in on a default daemon.
-	_, ts := newTestServer(t, Config{})
-	var created createResponse
-	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
-		"instance": json.RawMessage(buf.Bytes()),
-		"options":  map[string]any{"incremental": true, "incrementalTol": 1e3},
-	}, &created)
-	if code != http.StatusCreated {
-		t.Fatalf("create incremental session: status %d: %s", code, raw)
-	}
-	slots := driveSession(t, ts.URL, created.ID, horizon)
-	if got := fetchSchedule(t, ts.URL, created.ID); !schedulesEqual(got, want.Schedule) {
-		t.Error("per-session incremental schedule differs from incremental batch sim")
-	}
-	frozen := 0
-	for _, sr := range slots {
-		frozen += sr.Solve.FrozenUsers
-	}
-	if frozen == 0 {
-		t.Error("no slot response reported frozen users despite the loose gate")
-	}
-
-	// Daemon-level default: plain create, incremental still applies.
-	_, tsIn := newTestServer(t, Config{Incremental: true, IncrementalTol: 1e3})
-	id := createSession(t, tsIn.URL, in)
-	driveSession(t, tsIn.URL, id, horizon)
-	if got := fetchSchedule(t, tsIn.URL, id); !schedulesEqual(got, want.Schedule) {
-		t.Error("Config.Incremental schedule differs from incremental batch sim")
-	}
-
-	// A negative gate tolerance is rejected at create time.
-	code, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
-		"instance": json.RawMessage(buf.Bytes()),
-		"options":  map[string]any{"incremental": true, "incrementalTol": -1},
-	}, nil)
-	if code != http.StatusBadRequest {
-		t.Errorf("negative incrementalTol: status %d, want 400", code)
 	}
 }

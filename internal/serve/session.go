@@ -126,29 +126,19 @@ type solverOptions struct {
 	// coordinated by consensus ADMM (core.Options.Shards); 0 keeps the
 	// single-program path. Also turns on when the daemon runs with
 	// -shards. Composes with candidates and fastMath.
-	Shards int `json:"shards,omitempty"`
-	// Incremental turns on event-driven incremental slot solving
-	// (core.Options.Incremental): only users whose attachment changed
-	// since the previous slot are re-solved, with the dual-feasibility
-	// gate re-admitting any frozen user it cannot certify.
-	// IncrementalTol is the gate tolerance (0 = package default). Both
-	// also turn on when the daemon runs with -incremental. Slot updates
-	// arrive one at a time in streaming sessions, so the deltas stream
-	// straight into the solve.
-	Incremental    bool    `json:"incremental,omitempty"`
-	IncrementalTol float64 `json:"incrementalTol,omitempty"`
-	MaxOuter       int     `json:"maxOuter,omitempty"`
-	InnerIters     int     `json:"innerIters,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
-	FeasTol        float64 `json:"feasTol,omitempty"`
-	ObjTol         float64 `json:"objTol,omitempty"`
-	DualTol        float64 `json:"dualTol,omitempty"`
-	Penalty        float64 `json:"penalty,omitempty"`
+	Shards     int     `json:"shards,omitempty"`
+	MaxOuter   int     `json:"maxOuter,omitempty"`
+	InnerIters int     `json:"innerIters,omitempty"`
+	Workers    int     `json:"workers,omitempty"`
+	FeasTol    float64 `json:"feasTol,omitempty"`
+	ObjTol     float64 `json:"objTol,omitempty"`
+	DualTol    float64 `json:"dualTol,omitempty"`
+	Penalty    float64 `json:"penalty,omitempty"`
 }
 
 func (o solverOptions) validate() error {
 	if o.Epsilon1 < 0 || o.Epsilon2 < 0 || o.Candidates < 0 || o.CandidateTol < 0 ||
-		o.Shards < 0 || o.IncrementalTol < 0 || o.MaxOuter < 0 || o.InnerIters < 0 ||
+		o.Shards < 0 || o.MaxOuter < 0 || o.InnerIters < 0 ||
 		o.Workers < 0 || o.FeasTol < 0 || o.ObjTol < 0 || o.DualTol < 0 || o.Penalty < 0 {
 		return errors.New("solver options must be nonnegative")
 	}
@@ -157,16 +147,14 @@ func (o solverOptions) validate() error {
 
 func (o solverOptions) coreOptions(srv *Server) core.Options {
 	return core.Options{
-		Epsilon1:       o.Epsilon1,
-		Epsilon2:       o.Epsilon2,
-		Candidates:     o.Candidates,
-		CandidateTol:   o.CandidateTol,
-		FastMath:       o.FastMath || srv.cfg.FastMath,
-		FastMathF32:    o.FastMathF32 || srv.cfg.FastMathF32,
-		Shards:         max(o.Shards, srv.cfg.Shards),
-		ShardWorkers:   srv.cfg.ShardWorkers,
-		Incremental:    o.Incremental || srv.cfg.Incremental,
-		IncrementalTol: math.Max(o.IncrementalTol, srv.cfg.IncrementalTol),
+		Epsilon1:     o.Epsilon1,
+		Epsilon2:     o.Epsilon2,
+		Candidates:   o.Candidates,
+		CandidateTol: o.CandidateTol,
+		FastMath:     o.FastMath || srv.cfg.FastMath,
+		FastMathF32:  o.FastMathF32 || srv.cfg.FastMathF32,
+		Shards:       max(o.Shards, srv.cfg.Shards),
+		ShardWorkers: srv.cfg.ShardWorkers,
 		Solver: alm.Options{
 			MaxOuter:   o.MaxOuter,
 			InnerIters: o.InnerIters,
@@ -226,8 +214,6 @@ type solveDiag struct {
 	CandidateNNZ    int     `json:"candidateNNZ,omitempty"`
 	ShardIterations int     `json:"shardIterations,omitempty"`
 	ShardResidual   float64 `json:"shardResidual,omitempty"`
-	FrozenUsers     int     `json:"frozenUsers,omitempty"`
-	ReadmittedUsers int     `json:"readmittedUsers,omitempty"`
 }
 
 func diagDTO(d core.StepDiag) solveDiag {
@@ -241,8 +227,6 @@ func diagDTO(d core.StepDiag) solveDiag {
 		CandidateNNZ:    d.CandNNZ,
 		ShardIterations: d.ShardIters,
 		ShardResidual:   d.ShardResidual,
-		FrozenUsers:     d.FrozenUsers,
-		ReadmittedUsers: d.ReadmittedUsers,
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,6 +51,29 @@ func driveSlots(t *testing.T, base, id string, from, to int) []slotResponse {
 			t.Fatalf("slot %d: status %d: %s", slot, code, raw)
 		}
 		out = append(out, resp)
+	}
+	return out
+}
+
+// spliceOptions adds solver options to an encoded snapshot, as a daemon
+// that still had them would have written it.
+func spliceOptions(t *testing.T, raw []byte, opts map[string]any) []byte {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	o, _ := doc["options"].(map[string]any)
+	if o == nil {
+		o = map[string]any{}
+	}
+	for k, v := range opts {
+		o[k] = v
+	}
+	doc["options"] = o
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -159,18 +184,34 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		f(&snap)
 		return &snap
 	}
-	cases := map[string]*Snapshot{
-		"bad-version":    mutate(func(s *Snapshot) { s.Version = 99 }),
-		"no-instance":    mutate(func(s *Snapshot) { s.Instance = nil }),
-		"no-state":       mutate(func(s *Snapshot) { s.State = nil }),
-		"bad-id":         mutate(func(s *Snapshot) { s.ID = "../escape" }),
-		"tampered-state": mutate(func(s *Snapshot) { s.State.Schedule[0][0] = -1 }),
-		"slot-mismatch":  mutate(func(s *Snapshot) { s.State.Slot = 1 }),
-		"bad-options":    mutate(func(s *Snapshot) { s.Options.Candidates = -1 }),
+	// withOption splices a solver option the API no longer has into the
+	// snapshot body; the strict decode must reject it by name.
+	withOption := func(field string) json.RawMessage {
+		raw, _ := json.Marshal(good)
+		return spliceOptions(t, raw, map[string]any{field: 1})
 	}
-	for name, snap := range cases {
-		if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/restore", snap, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, code)
+	cases := []struct {
+		name  string
+		body  any
+		field string // non-empty: the 400 body must name it
+	}{
+		{"bad-version", mutate(func(s *Snapshot) { s.Version = 99 }), ""},
+		{"no-instance", mutate(func(s *Snapshot) { s.Instance = nil }), ""},
+		{"no-state", mutate(func(s *Snapshot) { s.State = nil }), ""},
+		{"bad-id", mutate(func(s *Snapshot) { s.ID = "../escape" }), ""},
+		{"tampered-state", mutate(func(s *Snapshot) { s.State.Schedule[0][0] = -1 }), ""},
+		{"slot-mismatch", mutate(func(s *Snapshot) { s.State.Slot = 1 }), ""},
+		{"bad-options", mutate(func(s *Snapshot) { s.Options.Candidates = -1 }), ""},
+		{"removed-incremental", withOption("incremental"), "incremental"},
+		{"removed-incremental-tol", withOption("incrementalTol"), "incrementalTol"},
+	}
+	for _, tc := range cases {
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/restore", tc.body, nil)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
+		}
+		if tc.field != "" && !strings.Contains(string(raw), `\"`+tc.field+`\"`) {
+			t.Errorf("%s: error %s does not name the field", tc.name, raw)
 		}
 	}
 	// Restoring over a live session is a conflict, not a replacement.
@@ -358,42 +399,70 @@ func TestEvictionSkipsInFlightSolve(t *testing.T) {
 // TestCrashRecovery restarts the daemon over the same snapshot
 // directory (autosnapshot persisting every slot) and requires the
 // recovered sessions to finish with the uninterrupted run's schedule.
+// The legacy rows splice solver options the API no longer has into the
+// persisted snapshot, as an older daemon wrote them: boot recovery
+// decodes leniently, so the session still restores and continues on
+// the full path.
 func TestCrashRecovery(t *testing.T) {
-	in := testInstance(t, 12, 6, 19)
-	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		legacy map[string]any
+	}{
+		{"current", nil},
+		{"legacy-incremental", map[string]any{"incremental": true}},
+		{"legacy-incremental-tol", map[string]any{"incremental": true, "incrementalTol": 1e-3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := testInstance(t, 12, 6, 19)
+			dir := t.TempDir()
 
-	// First daemon: drive half the horizon, then "crash" (no shutdown,
-	// no snapshot call — only the autosnapshots survive).
-	crashed, tsA := newTestServer(t, Config{SnapshotDir: dir, Autosnapshot: true})
-	id := createSession(t, tsA.URL, in)
-	driveSlots(t, tsA.URL, id, 0, 3)
-	tsA.Close()
-	_ = crashed.Close()
+			// First daemon: drive half the horizon, then "crash" (no
+			// shutdown, no snapshot call — only the autosnapshots survive).
+			crashed, tsA := newTestServer(t, Config{SnapshotDir: dir, Autosnapshot: true})
+			id := createSession(t, tsA.URL, in)
+			driveSlots(t, tsA.URL, id, 0, 3)
+			tsA.Close()
+			_ = crashed.Close()
+			if tc.legacy != nil {
+				path := filepath.Join(dir, id+snapExt)
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, spliceOptions(t, raw, tc.legacy), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	_, tsRef := newTestServer(t, Config{})
-	ref := createSession(t, tsRef.URL, in)
-	driveSlots(t, tsRef.URL, ref, 0, in.T)
+			_, tsRef := newTestServer(t, Config{})
+			ref := createSession(t, tsRef.URL, in)
+			refSlots := driveSlots(t, tsRef.URL, ref, 0, in.T)
 
-	// Second daemon over the same directory recovers the session.
-	srv2, ts2 := newTestServer(t, Config{SnapshotDir: dir, Autosnapshot: true})
-	var status statusResponse
-	if code, raw := doJSON(t, http.MethodGet, ts2.URL+"/v1/sessions/"+id, nil, &status); code != http.StatusOK {
-		t.Fatalf("recovered session not found: %d: %s", code, raw)
-	}
-	if status.NextSlot != 3 {
-		t.Fatalf("recovered at slot %d, want 3", status.NextSlot)
-	}
-	driveSlots(t, ts2.URL, id, 3, in.T)
-	if !schedulesEqual(fetchSchedule(t, ts2.URL, id), fetchSchedule(t, tsRef.URL, ref)) {
-		t.Fatal("recovered continuation differs from uninterrupted run")
-	}
+			// Second daemon over the same directory recovers the session.
+			srv2, ts2 := newTestServer(t, Config{SnapshotDir: dir, Autosnapshot: true})
+			var status statusResponse
+			if code, raw := doJSON(t, http.MethodGet, ts2.URL+"/v1/sessions/"+id, nil, &status); code != http.StatusOK {
+				t.Fatalf("recovered session not found: %d: %s", code, raw)
+			}
+			if status.NextSlot != 3 {
+				t.Fatalf("recovered at slot %d, want 3", status.NextSlot)
+			}
+			got := driveSlots(t, ts2.URL, id, 3, in.T)
+			if a, b := got[0].Cost.SlotTotal, refSlots[3].Cost.SlotTotal; math.Abs(a-b) > 1e-8*(1+math.Abs(b)) {
+				t.Errorf("first recovered slot cost %g vs uninterrupted %g beyond 1e-8", a, b)
+			}
+			if !schedulesEqual(fetchSchedule(t, ts2.URL, id), fetchSchedule(t, tsRef.URL, ref)) {
+				t.Fatal("recovered continuation differs from uninterrupted run")
+			}
 
-	// Recovered server-generated ids must not collide with new ones.
-	id2 := createSession(t, ts2.URL, in)
-	if id2 == id {
-		t.Fatalf("new session reused recovered id %s", id)
+			// Recovered server-generated ids must not collide with new ones.
+			id2 := createSession(t, ts2.URL, in)
+			if id2 == id {
+				t.Fatalf("new session reused recovered id %s", id)
+			}
+			_ = srv2
+		})
 	}
-	_ = srv2
 }
 
 // TestDeleteRemovesSnapshot: an explicit DELETE is an intentional

@@ -25,9 +25,6 @@ import "strconv"
 //	edgealloc_solver_shardrpc_bytes_total          counter  shard-RPC request+response body bytes
 //	edgealloc_solver_shardrpc_seconds_total        counter  cumulative shard-RPC wall time
 //	edgealloc_solver_shardrpc_fallbacks_total      counter  remote blocks folded back into local solving
-//	edgealloc_solver_incr_frozen_users             counter  users held at their carried decision (incremental path)
-//	edgealloc_solver_incr_readmitted_users         counter  frozen users re-admitted by the soundness gate
-//	edgealloc_solver_incr_solve_seconds            histogram per-slot solve latency of incremental slots
 //	edgealloc_cloud_utilization{cloud=i}           gauge    Σ_j x_{i,j,t}/C_i at the last solved slot
 //	edgealloc_conform_violations_total{kind=k}     counter  oracle findings by guarantee kind
 //	edgealloc_sim_runs_total                       counter  completed harness runs
@@ -55,9 +52,6 @@ type SolverMetrics struct {
 	RPCBytes     *Counter
 	RPCSeconds   *Counter
 	RPCFallbacks *Counter
-	IncrFrozen   *Counter
-	IncrReadmit  *Counter
-	IncrSolve    *Histogram
 	CloudUtil    *GaugeVec
 	ConformViol  *CounterVec
 	SimRuns      *Counter
@@ -103,12 +97,6 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 			"Cumulative wall time spent in shard-RPC calls, in seconds."),
 		RPCFallbacks: r.Counter("edgealloc_solver_shardrpc_fallbacks_total",
 			"Remote shard blocks folded back into local solving after exhausted retries."),
-		IncrFrozen: r.Counter("edgealloc_solver_incr_frozen_users",
-			"Users held at their carried decision by the incremental path (zero when incremental solving is off)."),
-		IncrReadmit: r.Counter("edgealloc_solver_incr_readmitted_users",
-			"Frozen users re-admitted to the active set by the dual-feasibility soundness gate."),
-		IncrSolve: r.Histogram("edgealloc_solver_incr_solve_seconds",
-			"Per-slot solve latency of incremental-path slots, in seconds.", nil),
 		CloudUtil: r.GaugeVec("edgealloc_cloud_utilization",
 			"Per-cloud utilization sum_j x_ij / C_i at the most recent solved slot.", "cloud"),
 		ConformViol: r.CounterVec("edgealloc_conform_violations_total",
@@ -180,18 +168,6 @@ func (m *SolverMetrics) CountShardRPCFallback() {
 		return
 	}
 	m.RPCFallbacks.Inc()
-}
-
-// ObserveIncremental records one incremental-path slot: users held
-// frozen when the slot committed, users the soundness gate re-admitted,
-// and the slot's solve latency.
-func (m *SolverMetrics) ObserveIncremental(frozen, readmitted int, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.IncrFrozen.Add(float64(frozen))
-	m.IncrReadmit.Add(float64(readmitted))
-	m.IncrSolve.Observe(seconds)
 }
 
 // ObserveLogCache records one slot's migration-log memo-cache outcomes

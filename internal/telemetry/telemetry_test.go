@@ -158,6 +158,10 @@ func TestSolverMetricsNilSafe(t *testing.T) {
 	// Every hook must be a no-op on the nil bundle.
 	m.ObserveStep(0.1, 2, 30, true)
 	m.ObserveCandidates(1, 2, 3)
+	m.ObserveShards(4, 1e-5, []float64{0.1})
+	m.ObserveShardRPCAttempt(0.01, 128, true)
+	m.CountShardRPCFallback()
+	m.ObserveLogCache(5, 6)
 	m.SetCloudUtilization(0, 0.5)
 	m.CountViolation("capacity")
 	m.ObserveRun(1.5)
@@ -169,6 +173,11 @@ func TestSolverMetricsRecords(t *testing.T) {
 	m.ObserveStep(0.1, 2, 30, true)
 	m.ObserveStep(0.2, 3, 40, false)
 	m.ObserveCandidates(2, 5, 17)
+	m.ObserveShards(4, 1e-5, []float64{0.1, 0.3})
+	m.ObserveShardRPCAttempt(0.01, 128, false)
+	m.ObserveShardRPCAttempt(0.02, 64, true)
+	m.CountShardRPCFallback()
+	m.ObserveLogCache(5, 6)
 	m.SetCloudUtilization(1, 0.75)
 	m.CountViolation("capacity")
 	m.ObserveRun(1.5)
@@ -187,6 +196,30 @@ func TestSolverMetricsRecords(t *testing.T) {
 	}
 	if got := m.CandNNZ.Value(); got != 17 {
 		t.Errorf("nnz = %g, want 17", got)
+	}
+	if got := m.ShardIters.Value(); got != 4 {
+		t.Errorf("shard iters = %g, want 4", got)
+	}
+	if got := m.ShardResid.Value(); got != 1e-5 {
+		t.Errorf("shard residual = %g, want 1e-5", got)
+	}
+	if got := m.ShardSolve.Count(); got != 2 {
+		t.Errorf("shard solve observations = %d, want 2", got)
+	}
+	if got := m.RPCCalls.Value(); got != 2 {
+		t.Errorf("rpc calls = %g, want 2", got)
+	}
+	if got := m.RPCRetries.Value(); got != 1 {
+		t.Errorf("rpc retries = %g, want 1", got)
+	}
+	if got := m.RPCBytes.Value(); got != 192 {
+		t.Errorf("rpc bytes = %g, want 192", got)
+	}
+	if got := m.RPCFallbacks.Value(); got != 1 {
+		t.Errorf("rpc fallbacks = %g, want 1", got)
+	}
+	if got, miss := m.LogHits.Value(), m.LogMisses.Value(); got != 5 || miss != 6 {
+		t.Errorf("log cache = %g/%g, want 5/6", got, miss)
 	}
 	if got := m.CloudUtil.With("1").Value(); got != 0.75 {
 		t.Errorf("utilization = %g, want 0.75", got)
